@@ -7,6 +7,7 @@ package confvalley_test
 // EXPERIMENTS.md for the experiment index and paper-vs-measured values.
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"confvalley/internal/engine"
 	"confvalley/internal/experiments"
 	"confvalley/internal/infer"
+	"confvalley/internal/interp"
 	"confvalley/internal/legacy"
 	"confvalley/internal/plan"
 	"confvalley/internal/simenv"
@@ -296,9 +298,10 @@ func BenchmarkDiscoveryNaiveVsTrie(b *testing.B) {
 }
 
 // BenchmarkPlanExecution measures the executable-plan layer on the
-// inferred Type A workload: direct AST interpretation, a cold plan
-// (lowering cost included — the cache entry is evicted before each
-// run), and the cached plan.
+// inferred Type A workload: direct AST interpretation (the sequential
+// internal/interp oracle), a cold plan (lowering cost included — the
+// cache entry is evicted before each run), and the cached plan. The plan
+// runs use one worker so all three sub-benchmarks are sequential.
 func BenchmarkPlanExecution(b *testing.B) {
 	c := azuregen.GenerateA(0.05, 2015)
 	res := infer.Infer(c.Store, infer.Defaults())
@@ -307,7 +310,11 @@ func BenchmarkPlanExecution(b *testing.B) {
 		b.Fatal(err)
 	}
 	run := func(interpret bool) {
-		eng := engine.Engine{Store: c.Store, Env: simenv.NewSim(), Opts: engine.Options{Interpret: interpret}}
+		if interpret {
+			interp.Run(context.Background(), c.Store, simenv.NewSim(), prog, interp.Options{})
+			return
+		}
+		eng := engine.Engine{Store: c.Store, Env: simenv.NewSim(), Opts: engine.Options{Parallel: 1}}
 		eng.Run(prog)
 	}
 	b.Run("interpreted", func(b *testing.B) {

@@ -5,9 +5,8 @@
 // Usage:
 //
 //	cvcheck -spec checks.cpl [-data xml:/path/settings.xml[:Scope]]...
-//	        [-parallel N] [-stop] [-json] [-watch 2s] [-interpret]
-//	        [-no-incremental] [-load-timeout 5s] [-max-stale N] [-lint]
-//	        [-version]
+//	        [-parallel N] [-stop] [-json] [-watch 2s] [-no-incremental]
+//	        [-load-timeout 5s] [-max-stale N] [-lint] [-version]
 //
 // -lint runs the static-analysis passes (internal/lint, the same ones
 // cvlint runs) over the specification before validating, using the
@@ -87,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stop        = fs.Bool("stop", false, "stop at the first violation")
 		asJSON      = fs.Bool("json", false, "emit the report as wire-format JSON")
 		watch       = fs.Duration("watch", 0, "revalidate at this interval when spec or data files change (0 = run once)")
-		interp      = fs.Bool("interpret", false, "execute via the AST interpreter instead of lowered plans")
 		rounds      = fs.Int("watch-rounds", 0, "with -watch, exit after this many validation rounds (0 = forever; for tests)")
 		noInc       = fs.Bool("no-incremental", false, "with -watch, fully revalidate every round instead of re-running only the specs affected by changed keys")
 		loadTimeout = fs.Duration("load-timeout", 0, "bound each validation round (loading plus validation); 0 = no bound")
@@ -137,7 +135,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	r := runner.New(runner.Options{
 		Parallel:    *parallel,
 		StopOnFirst: *stop,
-		Interpret:   *interp,
 		Incremental: incremental,
 		MaxStale:    *maxStale,
 		LoadTimeout: *loadTimeout,

@@ -38,7 +38,7 @@
 // parsing), and cross-request incremental validation (a low-churn
 // request re-runs only the specs its payload delta touches). Disable
 // with -result-cache -1, -snapshot-cache -1, and -no-incremental;
-// /healthz and /statsz expose per-tenant hit/miss/reuse counters.
+// /statsz exposes per-tenant hit/miss/reuse counters.
 //
 // With -state-dir, registrations and deletions are journaled (fsync'd
 // before the 201) to the directory and replayed on startup, so a crash

@@ -3,11 +3,11 @@ package driver
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"time"
 
+	"confvalley/internal/backoff"
 	"confvalley/internal/config"
 )
 
@@ -116,48 +116,10 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// jitterRNG backs backoff jitter. Guarded by its own mutex: fetches from
-// concurrent loads share it.
-var (
-	jitterMu  sync.Mutex
-	jitterRNG = rand.New(rand.NewSource(time.Now().UnixNano()))
-)
-
 // backoffDelay returns the capped exponential delay before attempt n
 // (n = 1 is the delay after the first failure).
 func (p RetryPolicy) backoffDelay(n int) time.Duration {
-	d := p.BaseBackoff
-	for i := 1; i < n; i++ {
-		d *= 2
-		if p.MaxBackoff > 0 && d >= p.MaxBackoff {
-			d = p.MaxBackoff
-			break
-		}
-	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	if p.Jitter > 0 && d > 0 {
-		jitterMu.Lock()
-		f := jitterRNG.Float64()
-		jitterMu.Unlock()
-		d += time.Duration(f * p.Jitter * float64(d))
-	}
-	return d
+	return backoff.Delay(n, p.BaseBackoff, p.MaxBackoff, p.Jitter)
 }
 
 // Fetch retrieves the document behind url through the installed
@@ -177,7 +139,7 @@ func Fetch(ctx context.Context, url string) ([]byte, error) {
 	}
 	sleep := p.Sleep
 	if sleep == nil {
-		sleep = sleepCtx
+		sleep = backoff.Sleep
 	}
 	var lastErr error
 	for attempt := 1; attempt <= p.Attempts; attempt++ {

@@ -4,13 +4,16 @@ package engine
 // the execution layer. A run under a canceled context stops mid-flight
 // with a partial report marked Interrupted and no leaked goroutines; a
 // panicking plug-in predicate is contained to a spec-level error with the
-// sibling specs' verdicts untouched, identically on both execution paths.
+// sibling specs' verdicts untouched, identically on the plan executor
+// and the interpreter oracle (internal/interp).
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +21,8 @@ import (
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
 	"confvalley/internal/faultinject"
+	"confvalley/internal/interp"
+	"confvalley/internal/plan"
 	"confvalley/internal/predicate"
 	"confvalley/internal/report"
 	"confvalley/internal/simenv"
@@ -28,6 +33,11 @@ import (
 // func (or any probe) for the duration of one run.
 var ctxHook atomic.Value // of func()
 
+// specProbe is called by the specprobe predicate with the value under
+// test; the parallel-cancellation test uses it to observe every spec
+// start.
+var specProbe atomic.Value // of func(value.V)
+
 func init() {
 	predicate.Register(&predicate.Func{
 		Name:  "ctxhook",
@@ -35,6 +45,16 @@ func init() {
 		Check: func(env simenv.Env, args []value.V, v value.V) (bool, error) {
 			if h, ok := ctxHook.Load().(func()); ok && h != nil {
 				h()
+			}
+			return true, nil
+		},
+	})
+	predicate.Register(&predicate.Func{
+		Name:  "specprobe",
+		Arity: 0,
+		Check: func(env simenv.Env, args []value.V, v value.V) (bool, error) {
+			if h, ok := specProbe.Load().(func(value.V)); ok && h != nil {
+				h(v)
 			}
 			return true, nil
 		},
@@ -79,18 +99,32 @@ func cancelFixture(t *testing.T, nSpecs, cancelAt int) (*config.Store, *compiler
 	return st, compileSrc(t, src.String())
 }
 
+// A sequential run stops exactly after the spec during which the
+// cancellation fired — on the plan executor at Parallel 1 and on the
+// interpreter oracle, which is always sequential.
 func TestRunContextCancelStopsMidRun(t *testing.T) {
-	for _, interpret := range []bool{false, true} {
-		t.Run(fmt.Sprintf("interpret=%v", interpret), func(t *testing.T) {
+	executors := []struct {
+		name string
+		run  func(ctx context.Context, st *config.Store, prog *compiler.Program) *report.Report
+	}{
+		{"plan", func(ctx context.Context, st *config.Store, prog *compiler.Program) *report.Report {
+			eng := New(st)
+			eng.Opts.Parallel = 1
+			return eng.RunContext(ctx, prog)
+		}},
+		{"interp", func(ctx context.Context, st *config.Store, prog *compiler.Program) *report.Report {
+			return interp.Run(ctx, st, simenv.NewSim(), prog, interp.Options{})
+		}},
+	}
+	for _, ex := range executors {
+		t.Run(ex.name, func(t *testing.T) {
 			st, prog := cancelFixture(t, 10, 4)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			ctxHook.Store(func() { cancel() })
 			defer ctxHook.Store(func() {})
 
-			eng := New(st)
-			eng.Opts.Interpret = interpret
-			rep := eng.RunContext(ctx, prog)
+			rep := ex.run(ctx, st, prog)
 			if !rep.Interrupted {
 				t.Fatalf("report not marked Interrupted")
 			}
@@ -104,6 +138,126 @@ func TestRunContextCancelStopsMidRun(t *testing.T) {
 			rep.Render(&b)
 			if !strings.Contains(b.String(), "PARTIAL REPORT") {
 				t.Fatalf("render of interrupted report lacks the partial banner:\n%s", b.String())
+			}
+		})
+	}
+}
+
+// A parallel run canceled mid-flight keeps RunContext's parallel
+// contract: every partition stops at its next spec boundary, the report
+// is Interrupted with no spec errors, SpecsRun counts exactly the specs
+// that ran (each with a noted outcome, the canceling spec among them),
+// and no spec starts after the cancellation fires.
+//
+// To make "starts after" observable without a race, the cancel is fired
+// only once every other partition is parked inside the probe of its
+// first spec — past that spec's boundary check — and those partitions
+// are released only after the cancel. From then on any probe call is a
+// spec that began after the cancellation, and the expected count is
+// exact: the canceling partition's specs up to and including the
+// canceling one, plus the one in-flight spec of each other partition.
+func TestRunContextCancelParallelContract(t *testing.T) {
+	const nSpecs, cancelAt = 16, 9
+	for _, workers := range []int{2, 4} {
+		t.Run(fmt.Sprintf("P=%d", workers), func(t *testing.T) {
+			st := config.NewStore()
+			var src strings.Builder
+			for i := 0; i < nSpecs; i++ {
+				kv(st, fmt.Sprintf("app.k%d", i), strconv.Itoa(i))
+				fmt.Fprintf(&src, "$app.k%d -> specprobe & int & [0, %d]\n", i, 100+i)
+			}
+			prog := compileSrc(t, src.String())
+			if len(prog.Specs) != nSpecs {
+				t.Fatalf("compiled %d specs, want %d", len(prog.Specs), nSpecs)
+			}
+			eng := New(st)
+			eng.Opts.Parallel = workers
+			parts := eng.partitionSpecs(plan.For(prog), allSpecs(nSpecs), workers)
+			partOf := make(map[int]int, nSpecs)
+			for k, part := range parts {
+				for _, j := range part {
+					partOf[j] = k
+				}
+			}
+			want := len(parts) - 1 // one in-flight spec per other partition
+			for _, j := range parts[partOf[cancelAt]] {
+				if j <= cancelAt {
+					want++
+				}
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var (
+				mu       sync.Mutex
+				fired    bool
+				started  = map[int]bool{}
+				late     []int // specs whose probe ran after the cancel fired
+				parkFail bool
+			)
+			// One buffered send per other partition, so a timed-out wait
+			// cannot strand a partition on the send.
+			arrived := make(chan struct{}, len(parts)-1)
+			release := make(chan struct{})
+			specProbe.Store(func(v value.V) {
+				i, _ := strconv.Atoi(v.Raw)
+				mu.Lock()
+				started[i] = true
+				afterCancel := fired
+				if afterCancel {
+					late = append(late, i)
+				}
+				mu.Unlock()
+				switch {
+				case i == cancelAt:
+					timeout := time.After(10 * time.Second)
+					for k := 0; k < len(parts)-1; k++ {
+						select {
+						case <-arrived:
+						case <-timeout:
+							parkFail = true
+						}
+					}
+					mu.Lock()
+					cancel()
+					fired = true
+					mu.Unlock()
+					close(release)
+				case partOf[i] != partOf[cancelAt] && !afterCancel:
+					arrived <- struct{}{}
+					<-release
+				}
+			})
+			defer specProbe.Store(func(value.V) {})
+
+			rep := eng.RunContext(ctx, prog)
+			if parkFail {
+				t.Fatalf("other partitions never reached their first spec")
+			}
+			if !rep.Interrupted {
+				t.Fatalf("report not marked Interrupted")
+			}
+			if len(rep.SpecErrors) != 0 {
+				t.Fatalf("cancellation produced spec errors: %v", rep.SpecErrors)
+			}
+			if len(late) != 0 {
+				t.Fatalf("specs %v started after the cancellation fired", late)
+			}
+			noted := 0
+			for i := 0; i < nSpecs; i++ {
+				_, ok := rep.Outcome(i)
+				if ok {
+					noted++
+				}
+				if ok != started[i] {
+					t.Errorf("spec %d: noted outcome = %v, started = %v", i, ok, started[i])
+				}
+			}
+			if _, ok := rep.Outcome(cancelAt); !ok {
+				t.Errorf("canceling spec %d has no noted outcome", cancelAt)
+			}
+			if rep.SpecsRun != noted || rep.SpecsRun != want {
+				t.Fatalf("SpecsRun = %d, noted outcomes = %d, want %d (partitions %v)", rep.SpecsRun, noted, want, parts)
 			}
 		})
 	}
@@ -134,15 +288,14 @@ func TestRunContextDeadline(t *testing.T) {
 func TestRunContextCancelParallelNoGoroutineLeak(t *testing.T) {
 	st, prog := cancelFixture(t, 40, 3)
 	before := runtime.NumGoroutine()
-	for _, interpret := range []bool{false, true} {
+	for _, workers := range []int{2, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		ctxHook.Store(func() { cancel() })
 		eng := New(st)
-		eng.Opts.Parallel = 4
-		eng.Opts.Interpret = interpret
+		eng.Opts.Parallel = workers
 		rep := eng.RunContext(ctx, prog)
 		if !rep.Interrupted {
-			t.Fatalf("interpret=%v: parallel canceled run not marked Interrupted", interpret)
+			t.Fatalf("P=%d: parallel canceled run not marked Interrupted", workers)
 		}
 		cancel()
 	}
@@ -159,8 +312,9 @@ func TestRunContextCancelParallelNoGoroutineLeak(t *testing.T) {
 }
 
 // A panicking plug-in predicate becomes a spec-level error; the spec's
-// partial violations roll back and sibling specs are untouched — on both
-// execution paths, which must stay report-identical.
+// partial violations roll back and sibling specs are untouched — on the
+// plan executor, sequential and parallel, and on the interpreter oracle,
+// which must all stay report-identical.
 func TestPanickingPredicateIsolated(t *testing.T) {
 	st := config.NewStore()
 	kv(st, "app.a", "1")
@@ -170,27 +324,32 @@ func TestPanickingPredicateIsolated(t *testing.T) {
 	src := "$app.a -> int & [0, 9]\n$app.b -> panicboom\n$app.c -> int & [0, 8]"
 	prog := compileSrc(t, src)
 
-	var reports []*report.Report
-	for _, interpret := range []bool{false, true} {
+	oracle := interp.Run(context.Background(), st, simenv.NewSim(), prog, interp.Options{})
+	reports := map[string]*report.Report{"interp": oracle}
+	for _, workers := range []int{1, 3} {
 		eng := New(st)
-		eng.Opts.Interpret = interpret
-		rep := eng.Run(prog)
+		eng.Opts.Parallel = workers
+		reports[fmt.Sprintf("plan P=%d", workers)] = eng.Run(prog)
+	}
+	for name, rep := range reports {
 		if len(rep.SpecErrors) != 1 || !strings.Contains(rep.SpecErrors[0], "panic: predicate exploded on boom") {
-			t.Fatalf("interpret=%v: SpecErrors = %v", interpret, rep.SpecErrors)
+			t.Fatalf("%s: SpecErrors = %v", name, rep.SpecErrors)
 		}
 		if len(rep.Violations) != 1 || rep.Violations[0].Key != "app.c" {
-			t.Fatalf("interpret=%v: sibling verdicts disturbed: %v", interpret, rep.Violations)
+			t.Fatalf("%s: sibling verdicts disturbed: %v", name, rep.Violations)
 		}
 		if rep.SpecsRun != 3 {
-			t.Fatalf("interpret=%v: SpecsRun = %d, want 3", interpret, rep.SpecsRun)
+			t.Fatalf("%s: SpecsRun = %d, want 3", name, rep.SpecsRun)
 		}
 		if o, ok := rep.Outcome(1); !ok || !o.Errored {
-			t.Fatalf("interpret=%v: outcome for panicked spec = %+v ok=%v", interpret, o, ok)
+			t.Fatalf("%s: outcome for panicked spec = %+v ok=%v", name, o, ok)
 		}
-		reports = append(reports, rep)
 	}
-	if a, b := normalizedJSON(t, reports[0]), normalizedJSON(t, reports[1]); a != b {
-		t.Fatalf("plan and interpreted paths diverge on panic containment:\n%s\nvs\n%s", a, b)
+	want := normalizedJSON(t, oracle)
+	for name, rep := range reports {
+		if got := normalizedJSON(t, rep); got != want {
+			t.Fatalf("%s diverges from the interpreter oracle on panic containment:\n%s\nvs\n%s", name, got, want)
+		}
 	}
 }
 

@@ -34,9 +34,9 @@ func (e *Engine) PinnedSnapshot() *config.Snapshot { return e.snap }
 // reusing per-spec verdicts from a previous run where the diff against
 // prevSnap proves them still valid. It falls back to a full Run when
 // reuse is unsound or unavailable: no previous state, an untagged or
-// stopped previous report, interpreted execution, or a stop-on-first
-// policy (a truncated run has no complete verdict set to splice from,
-// and its stop point depends on global execution order).
+// stopped previous report, or a stop-on-first policy (a truncated run
+// has no complete verdict set to splice from, and its stop point
+// depends on global execution order).
 func (e *Engine) RunIncremental(prog *compiler.Program, prevSnap *config.Snapshot, prevRep *report.Report) *report.Report {
 	return e.RunIncrementalContext(context.Background(), prog, prevSnap, prevRep)
 }
@@ -51,7 +51,7 @@ func (e *Engine) RunIncrementalContext(ctx context.Context, prog *compiler.Progr
 		e.Opts.StopOnFirst = true
 	}
 	if prevSnap == nil || prevRep == nil || prevRep.Stopped || prevRep.Interrupted ||
-		!prevRep.Tagged() || e.Opts.Interpret || e.Opts.StopOnFirst {
+		!prevRep.Tagged() || e.Opts.StopOnFirst {
 		return e.RunContext(ctx, prog)
 	}
 	start := time.Now()
@@ -138,31 +138,10 @@ func (e *Engine) runSubset(p *plan.Plan, idxs []int) *report.Report {
 	if len(idxs) == 0 {
 		return &report.Report{}
 	}
-	rt := e.runtime()
 	if n := e.effectiveParallel(len(idxs)); n > 1 {
-		return runParts(e.partitionSpecs(p, idxs, n), func(idxs []int, sub *report.Report) {
-			for _, j := range idxs {
-				if rt.Canceled() {
-					sub.Interrupted = true
-					return
-				}
-				p.Specs[j].Run(rt, sub)
-				if sub.Interrupted {
-					return
-				}
-			}
-		})
+		return runParts(e.partitionSpecs(p, idxs, n), e.partRunner(p))
 	}
 	rep := &report.Report{}
-	for _, j := range idxs {
-		if rt.Canceled() {
-			rep.Interrupted = true
-			break
-		}
-		p.Specs[j].Run(rt, rep)
-		if rep.Interrupted {
-			break
-		}
-	}
+	e.partRunner(p)(idxs, rep)
 	return rep
 }

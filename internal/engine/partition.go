@@ -26,8 +26,7 @@ type PartitionStrategy int
 const (
 	// PartitionCost is the default: LPT bin-packing on per-spec cost
 	// estimated from the footprint index, falling back to round-robin
-	// when most footprints are Dynamic (no usable cost model) or the
-	// run bypasses the plan layer (Interpret).
+	// when most footprints are Dynamic (no usable cost model).
 	PartitionCost PartitionStrategy = iota
 	// PartitionRoundRobin forces the index round-robin splitter.
 	PartitionRoundRobin
@@ -68,8 +67,7 @@ func (e *Engine) effectiveParallel(nspecs int) int {
 // partitionSpecs splits the given spec indexes (ascending execution
 // positions) into exactly min(n, len(idxs)) non-empty partitions, each
 // kept in ascending order so every partition report is Seq-sorted by
-// construction. p may be nil (interpreted runs), which forces
-// round-robin.
+// construction.
 func (e *Engine) partitionSpecs(p *plan.Plan, idxs []int, n int) [][]int {
 	if n > len(idxs) {
 		n = len(idxs)
@@ -77,7 +75,7 @@ func (e *Engine) partitionSpecs(p *plan.Plan, idxs []int, n int) [][]int {
 	if n <= 1 {
 		return [][]int{idxs}
 	}
-	if e.Opts.Partition == PartitionRoundRobin || p == nil {
+	if e.Opts.Partition == PartitionRoundRobin {
 		return roundRobin(idxs, n)
 	}
 	costs := p.Costs(e.snapshot())

@@ -42,13 +42,11 @@ func TestEffectiveParallel(t *testing.T) {
 func TestPartitionSpecsNeverEmpty(t *testing.T) {
 	for _, strat := range []PartitionStrategy{PartitionRoundRobin, PartitionCost} {
 		for _, nspecs := range []int{1, 2, 3, 7, 24} {
+			st, prog := cancelFixture(t, nspecs, -1)
+			p := plan.For(prog)
 			for _, n := range []int{1, 2, 3, 8, 50} {
-				idxs := make([]int, nspecs)
-				for i := range idxs {
-					idxs[i] = i
-				}
-				e := &Engine{Opts: Options{Partition: strat}}
-				parts := e.partitionSpecs(nil, idxs, n) // nil plan: round-robin path
+				e := &Engine{Store: st, Opts: Options{Partition: strat}}
+				parts := e.partitionSpecs(p, allSpecs(nspecs), n)
 				wantParts := n
 				if wantParts > nspecs {
 					wantParts = nspecs

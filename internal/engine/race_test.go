@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -8,7 +9,9 @@ import (
 
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
+	"confvalley/internal/interp"
 	"confvalley/internal/report"
+	"confvalley/internal/simenv"
 )
 
 // wideStore builds a store large enough that sealing (trie construction)
@@ -55,8 +58,9 @@ $Cloud*.Cloud.ProxyIP -> nonempty
 // TestParallelRunColdStoreRace stress-tests runParallel against a store
 // whose snapshot has never been sealed and whose discovery cache is
 // cold: all partitions race to seal, then hammer the sharded cache with
-// wildcard discoveries. Run with -race. It also checks parallel,
-// sequential, and interpreted runs agree on the planted violation.
+// wildcard discoveries. Run with -race. It also checks the parallel run
+// agrees with a sequential one and with the interpreter oracle on the
+// planted violation.
 func TestParallelRunColdStoreRace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	prog, err := compiler.Compile(wildcardSpecs())
@@ -88,17 +92,18 @@ func TestParallelRunColdStoreRace(t *testing.T) {
 		}
 	}
 
-	// The interpreted and sequential planned paths must agree with the
-	// parallel one.
-	for _, interp := range []bool{false, true} {
-		st := wideStore()
-		eng := New(st)
-		eng.Opts.Interpret = interp
-		rep := eng.Run(prog)
+	// The sequential planned path and the interpreter oracle must agree
+	// with the parallel one.
+	seq := New(wideStore())
+	seq.Opts.Parallel = 1
+	for name, rep := range map[string]*report.Report{
+		"sequential": seq.Run(prog),
+		"interp":     interp.Run(context.Background(), wideStore(), simenv.NewSim(), prog, interp.Options{}),
+	} {
 		if len(rep.Violations) != 1 ||
 			rep.Violations[0].Key != want.Violations[0].Key ||
 			rep.Violations[0].Message != want.Violations[0].Message {
-			t.Fatalf("interpret=%v disagrees with parallel run: %+v", interp, rep.Violations)
+			t.Fatalf("%s disagrees with parallel run: %+v", name, rep.Violations)
 		}
 	}
 }

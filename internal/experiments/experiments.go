@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -22,6 +23,7 @@ import (
 	"confvalley/internal/driver"
 	"confvalley/internal/engine"
 	"confvalley/internal/infer"
+	"confvalley/internal/interp"
 	"confvalley/internal/legacy"
 	"confvalley/internal/plan"
 	"confvalley/internal/report"
@@ -492,7 +494,9 @@ func Table8(cfg Config) []Table8Row {
 		"Config.", "Instances", "Specs", "Source", "Sequential", "P10.Min", "P10.Median", "P10.Max")
 	var rows []Table8Row
 	for _, w := range workloads {
-		eng := engine.Engine{Store: w.store, Env: simenv.NewSim()}
+		// Parallel: 1 — the zero value would use one worker per core and
+		// make the "sequential" column parallel on multi-core hosts.
+		eng := engine.Engine{Store: w.store, Env: simenv.NewSim(), Opts: engine.Options{Parallel: 1}}
 		w.store.InvalidateCache()
 		start := time.Now()
 		eng.Run(w.prog)
@@ -722,20 +726,20 @@ func Discovery(cfg Config) DiscoveryResult {
 		panic(err)
 	}
 	// The ablation reproduces the paper's initial (pre-§5.2) discovery
-	// implementation, so both runs use the AST interpreter: the plan
-	// executor hoists per-element reference re-resolution and would
+	// implementation, so both runs use the AST interpreter oracle: the
+	// plan executor hoists per-element reference re-resolution and would
 	// shrink the redundancy the trie+cache index is measured against.
+	// Each side takes the best of three runs to damp scheduler noise.
 	run := func(naive bool) time.Duration {
 		a.Store.InvalidateCache()
 		a.Store.ResetStats()
-		eng := engine.Engine{Store: a.Store, Env: simenv.NewSim(), Opts: engine.Options{NaiveDiscovery: naive, Interpret: true}}
 		start := time.Now()
-		eng.Run(prog)
+		interp.Run(context.Background(), a.Store, simenv.NewSim(), prog, interp.Options{NaiveDiscovery: naive})
 		return time.Since(start)
 	}
-	indexed := run(false)
+	indexed := bestOf(3, func() time.Duration { return run(false) })
 	queries := a.Store.Stats.Queries()
-	naive := run(true)
+	naive := bestOf(3, func() time.Duration { return run(true) })
 	out := DiscoveryResult{
 		Queries:     queries,
 		IndexedTime: indexed,
@@ -745,6 +749,17 @@ func Discovery(cfg Config) DiscoveryResult {
 	cfg.printf("Discovery ablation (§5.2): %d queries — naive %v vs trie+cache %v (%.1fx speedup)\n",
 		out.Queries, out.NaiveTime.Round(time.Millisecond), out.IndexedTime.Round(time.Millisecond), out.Speedup)
 	return out
+}
+
+// bestOf returns the fastest of n timed runs of f.
+func bestOf(n int, f func() time.Duration) time.Duration {
+	min := f()
+	for i := 1; i < n; i++ {
+		if d := f(); d < min {
+			min = d
+		}
+	}
+	return min
 }
 
 // ---- plan-layer ablation: AST interpretation vs lowered plans ----
@@ -760,8 +775,10 @@ type PlanResult struct {
 }
 
 // PlanAblation measures the plan layer: the inferred Type A program run
-// through the AST interpreter, through a freshly lowered plan (lowering
-// cost included), and through the cached plan. Each configuration takes
+// through the AST interpreter oracle, through a freshly lowered plan
+// (lowering cost included), and through the cached plan. The oracle is
+// sequential, so the plan runs are pinned to one worker too and the
+// ratio measures lowering, not parallelism. Each configuration takes
 // the best of three runs to damp scheduler noise.
 func PlanAblation(cfg Config) PlanResult {
 	a := azuregen.GenerateA(cfg.ScaleA, cfg.Seed)
@@ -772,27 +789,22 @@ func PlanAblation(cfg Config) PlanResult {
 	}
 	run := func(interpret bool) time.Duration {
 		a.Store.InvalidateCache()
-		eng := engine.Engine{Store: a.Store, Env: simenv.NewSim(), Opts: engine.Options{Interpret: interpret}}
 		start := time.Now()
-		eng.Run(prog)
+		if interpret {
+			interp.Run(context.Background(), a.Store, simenv.NewSim(), prog, interp.Options{})
+		} else {
+			eng := engine.Engine{Store: a.Store, Env: simenv.NewSim(), Opts: engine.Options{Parallel: 1}}
+			eng.Run(prog)
+		}
 		return time.Since(start)
 	}
-	best := func(f func() time.Duration) time.Duration {
-		min := f()
-		for i := 0; i < 2; i++ {
-			if d := f(); d < min {
-				min = d
-			}
-		}
-		return min
-	}
 	out := PlanResult{
-		Interpreted: best(func() time.Duration { return run(true) }),
-		PlanCold: best(func() time.Duration {
+		Interpreted: bestOf(3, func() time.Duration { return run(true) }),
+		PlanCold: bestOf(3, func() time.Duration {
 			plan.Forget(prog)
 			return run(false)
 		}),
-		PlanCached: best(func() time.Duration { return run(false) }),
+		PlanCached: bestOf(3, func() time.Duration { return run(false) }),
 	}
 	out.SpeedupCold = float64(out.Interpreted) / float64(out.PlanCold)
 	out.SpeedupCached = float64(out.Interpreted) / float64(out.PlanCached)
@@ -929,16 +941,6 @@ func Incremental(cfg Config) []IncrementalRow {
 	prevRep := seedEng.Run(prog)
 	prevSnap := seedEng.PinnedSnapshot()
 
-	best := func(f func() time.Duration) time.Duration {
-		min := f()
-		for i := 0; i < 2; i++ {
-			if d := f(); d < min {
-				min = d
-			}
-		}
-		return min
-	}
-
 	var rows []IncrementalRow
 	cfg.printf("Incremental validation: churn sweep, %d specs over %d instances\n",
 		len(prog.Specs), len(base))
@@ -973,14 +975,14 @@ func Incremental(cfg Config) []IncrementalRow {
 
 			fullEng := engine.Engine{Store: mutated, Env: simenv.NewSim()}
 			var fullRep *report.Report
-			fullTime := best(func() time.Duration {
+			fullTime := bestOf(3, func() time.Duration {
 				start := time.Now()
 				fullRep = fullEng.Run(prog)
 				return time.Since(start)
 			})
 
 			var incRep *report.Report
-			incTime := best(func() time.Duration {
+			incTime := bestOf(3, func() time.Duration {
 				incEng := engine.Engine{Store: mutated, Env: simenv.NewSim()}
 				start := time.Now()
 				incRep = incEng.RunIncremental(prog, prevSnap, prevRep)

@@ -56,28 +56,18 @@ func FaultTolerance(cfg Config) FaultToleranceResult {
 		panic(err)
 	}
 
-	best := func(f func() time.Duration) time.Duration {
-		min := f()
-		for i := 0; i < 4; i++ {
-			if d := f(); d < min {
-				min = d
-			}
-		}
-		return min
-	}
-
 	r := FaultToleranceResult{
 		Specs:     len(prog.Specs),
 		Instances: len(a.Store.Instances()),
 	}
 
 	eng := engine.Engine{Store: a.Store, Env: simenv.NewSim()}
-	r.ValidateDirect = best(func() time.Duration {
+	r.ValidateDirect = bestOf(5, func() time.Duration {
 		start := time.Now()
 		eng.Run(prog)
 		return time.Since(start)
 	})
-	r.ValidateCtx = best(func() time.Duration {
+	r.ValidateCtx = bestOf(5, func() time.Duration {
 		ctx, cancel := context.WithCancel(context.Background())
 		start := time.Now()
 		eng.RunContext(ctx, prog)
@@ -111,7 +101,7 @@ func FaultTolerance(cfg Config) FaultToleranceResult {
 		})
 	}
 
-	r.IngestDirect = best(func() time.Duration {
+	r.IngestDirect = bestOf(5, func() time.Duration {
 		st := config.NewStore()
 		start := time.Now()
 		for _, s := range srcs {
@@ -122,7 +112,7 @@ func FaultTolerance(cfg Config) FaultToleranceResult {
 		return time.Since(start)
 	})
 	loader := ingest.NewLoader(0)
-	r.IngestLoader = best(func() time.Duration {
+	r.IngestLoader = bestOf(5, func() time.Duration {
 		st := config.NewStore()
 		start := time.Now()
 		rep := loader.Load(context.Background(), st, loaderSrcs)
@@ -146,7 +136,7 @@ func FaultTolerance(cfg Config) FaultToleranceResult {
 			Fetch:  sched.Wrap(loaderSrcs[i].Fetch),
 		})
 	}
-	r.IngestDegraded = best(func() time.Duration {
+	r.IngestDegraded = bestOf(5, func() time.Duration {
 		st := config.NewStore()
 		start := time.Now()
 		loader.Load(context.Background(), st, flaky)

@@ -260,9 +260,9 @@ func CacheStats() (hits, misses uint64) {
 
 // ---- Shared evaluation helpers ----
 //
-// These are used by both the plan executor and the engine's interpreted
-// path; sharing them guarantees the two paths agree on the corner cases
-// (quantifier arithmetic, bound pairing, per-class partitioning).
+// These are used by both the plan executor and the interpreter oracle
+// (internal/interp); sharing them guarantees the two agree on the corner
+// cases (quantifier arithmetic, bound pairing, per-class partitioning).
 
 // QuantHolds applies a quantifier to a match count.
 func QuantHolds(q ast.Quant, matches, total int) bool {

@@ -35,8 +35,6 @@ type Options struct {
 	Parallel int
 	// StopOnFirst aborts validation at the first violation.
 	StopOnFirst bool
-	// Interpret selects the AST interpreter over lowered plans.
-	Interpret bool
 	// Incremental retains each run's (snapshot, report) pair and
 	// re-runs only the specs whose footprint overlaps the keys changed
 	// since — cvcheck's watch-round default.
@@ -242,7 +240,6 @@ func New(opts Options) *Runner {
 	s := confvalley.NewSession()
 	s.Parallel = opts.Parallel
 	s.StopOnFirst = opts.StopOnFirst
-	s.Interpret = opts.Interpret
 	s.Incremental = opts.Incremental
 	s.Degrade = !opts.Strict
 	s.MaxStale = opts.MaxStale
@@ -460,6 +457,6 @@ func (r *Runner) Forget(name string) { r.loader.Forget(name) }
 
 // String renders the options compactly for logs.
 func (o Options) String() string {
-	return fmt.Sprintf("parallel=%d stop=%t interpret=%t incremental=%t strict=%t max-stale=%d load-timeout=%s",
-		o.Parallel, o.StopOnFirst, o.Interpret, o.Incremental, o.Strict, o.MaxStale, o.LoadTimeout)
+	return fmt.Sprintf("parallel=%d stop=%t incremental=%t strict=%t max-stale=%d load-timeout=%s",
+		o.Parallel, o.StopOnFirst, o.Incremental, o.Strict, o.MaxStale, o.LoadTimeout)
 }

@@ -98,13 +98,14 @@ func TestResultCacheRepeatByteIdentity(t *testing.T) {
 		t.Errorf("tenant cache stats = %+v", st.Tenants)
 	}
 
-	// The health endpoint surfaces the same per-tenant counters.
-	h, err := c.Health(ctx)
+	// The stats endpoint carries the same per-tenant cache block over
+	// the wire.
+	ws, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.Caches) != 1 || h.Caches[0].ResultCache.Hits != 1 {
-		t.Errorf("health cache block = %+v", h.Caches)
+	if len(ws.Tenants) != 1 || ws.Tenants[0].Caches.ResultCache.Hits != 1 {
+		t.Errorf("stats cache block = %+v", ws.Tenants)
 	}
 }
 

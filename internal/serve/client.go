@@ -6,12 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
+
+	"confvalley/internal/backoff"
 )
 
 // DefaultTimeout bounds each request of a Client whose Timeout is zero.
@@ -80,15 +80,9 @@ func (c *Client) url(parts ...string) string {
 	return strings.TrimSuffix(c.Base, "/") + "/" + strings.Join(parts, "/")
 }
 
-// retryJitter backs the retry backoff's jitter, shared across clients
-// the way the REST driver's jitterRNG is shared across fetches.
-var (
-	retryJitterMu  sync.Mutex
-	retryJitterRNG = rand.New(rand.NewSource(time.Now().UnixNano()))
-)
-
 // backoffDelay computes the capped exponential delay before retry n
-// (1-based), with 50% uniform jitter — the restDriver retry shape.
+// (1-based), with 50% uniform jitter — the shape the REST driver uses
+// too, computed by the shared internal/backoff helper.
 func (c *Client) backoffDelay(n int) time.Duration {
 	base, max := c.RetryBackoff, c.RetryMaxBackoff
 	if base <= 0 {
@@ -97,21 +91,7 @@ func (c *Client) backoffDelay(n int) time.Duration {
 	if max <= 0 {
 		max = 2 * time.Second
 	}
-	d := base
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= max {
-			d = max
-			break
-		}
-	}
-	if d > max {
-		d = max
-	}
-	retryJitterMu.Lock()
-	f := retryJitterRNG.Float64()
-	retryJitterMu.Unlock()
-	return d + time.Duration(f*0.5*float64(d))
+	return backoff.Delay(n, base, max, 0.5)
 }
 
 // retryAfter parses a 429/503 response's Retry-After header (seconds
@@ -141,7 +121,7 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte, out an
 	}
 	sleep := c.Sleep
 	if sleep == nil {
-		sleep = sleepRetry
+		sleep = backoff.Sleep
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
@@ -181,21 +161,6 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte, out an
 			continue
 		}
 		return decodeResponse(resp, out)
-	}
-}
-
-// sleepRetry is the default between-attempts wait.
-func sleepRetry(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
 	}
 }
 

@@ -869,9 +869,9 @@ func (s *Server) LastReport(tenantName, specName string) (*ValidateResponse, err
 	return resp, nil
 }
 
-// Health summarizes liveness for the health endpoint, including each
-// tenant's cache counters — the at-a-glance view of whether the
-// caching layers are earning their memory.
+// Health summarizes liveness for the health endpoint. It stays cheap —
+// no tenant's caches are consulted — because liveness probes call it
+// often; per-tenant cache counters are reported by Stats.
 func (s *Server) Health() HealthInfo {
 	info := HealthInfo{
 		Status:          "ok",
@@ -883,10 +883,9 @@ func (s *Server) Health() HealthInfo {
 		Queued:          int(s.queued.Load()),
 		CanceledWaiting: s.canceledWaiting.Load(),
 	}
-	for _, t := range s.tenantsSorted() {
-		info.Tenants++
-		info.Caches = append(info.Caches, t.cacheInfo())
-	}
+	s.mu.RLock()
+	info.Tenants = len(s.tenants)
+	s.mu.RUnlock()
 	return info
 }
 
@@ -1009,8 +1008,6 @@ type HealthInfo struct {
 	// waited in the admission queue — abandonment, distinct from the
 	// server shedding load (rejected_busy).
 	CanceledWaiting int64 `json:"canceled_waiting"`
-	// Caches is each tenant's cache counter block, name-sorted.
-	Caches []TenantCaches `json:"caches,omitempty"`
 }
 
 // TenantCaches is one tenant's service-side cache counters: the
@@ -1104,8 +1101,8 @@ type TenantStats struct {
 	// Lint counts the diagnostics this tenant's registrations drew,
 	// including strict-rejected ones.
 	Lint LintCounters `json:"lint"`
-	// Caches mirrors the health endpoint's per-tenant cache block so
-	// either endpoint tells the full reuse story.
+	// Caches is this tenant's cache counter block — the at-a-glance
+	// view of whether the caching layers are earning their memory.
 	Caches TenantCaches `json:"caches"`
 }
 

@@ -37,10 +37,6 @@ type Session struct {
 	Parallel int
 	// StopOnFirst aborts validation at the first violation.
 	StopOnFirst bool
-	// Interpret forces direct AST interpretation instead of the lowered
-	// plan executor — an escape hatch and semantic oracle; the two paths
-	// produce identical reports.
-	Interpret bool
 	// Incremental enables delta-driven revalidation: ValidateProgram
 	// retains each run's (snapshot, report) pair, and the next run of
 	// the *same* compiled program re-executes only the specifications
@@ -316,7 +312,6 @@ func (s *Session) engineFor(st *Store) *engine.Engine {
 		Opts: engine.Options{
 			StopOnFirst: s.StopOnFirst,
 			Parallel:    s.Parallel,
-			Interpret:   s.Interpret,
 		},
 	}
 }
@@ -417,7 +412,7 @@ func (s *Session) Check(line string) (*Report, error) {
 	if len(prog.Loads) > 0 {
 		return nil, fmt.Errorf("confvalley: Check does not execute load commands; use Validate")
 	}
-	eng := engine.Engine{Store: s.store.Load(), Env: s.env, Opts: engine.Options{Interpret: s.Interpret}}
+	eng := engine.Engine{Store: s.store.Load(), Env: s.env}
 	return eng.Run(prog), nil
 }
 
