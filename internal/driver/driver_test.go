@@ -1,9 +1,11 @@
 package driver
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
+	"confvalley/internal/azuregen"
 	"confvalley/internal/config"
 )
 
@@ -91,6 +93,52 @@ func TestXMLErrors(t *testing.T) {
 	}
 	if _, err := d.Parse([]byte(`<A><B></A>`), "s"); err == nil {
 		t.Error("malformed XML should error")
+	}
+	// The driver-level errors carry the format prefix and the source.
+	for doc, want := range map[string]string{
+		`<A><Setting Value="x"/></A>`: "xml: Setting element without Key attribute in site.xml",
+		`<A><B Name="b"/>`:            "xml: unbalanced elements in site.xml",
+	} {
+		if _, err := d.Parse([]byte(doc), "site.xml"); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) error = %v, want %q", doc, err, want)
+		}
+	}
+}
+
+// The XML driver hands out substrings of one copy of the document and
+// carves instances and keys from slabs, so its allocations do not grow
+// with the instance count (encoding/xml made about 15 per instance).
+func TestXMLParseAllocsPerInstance(t *testing.T) {
+	data := azuregen.RenderXML(azuregen.GenerateA(0.05, 1).Store)
+	d, _ := Lookup("xml")
+	ins, err := d.Parse(data, "a.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := d.Parse(data, "a.xml"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perInstance := allocs / float64(len(ins)); perInstance > 0.1 {
+		t.Errorf("%.0f allocations for %d instances = %.3f per instance, want <= 0.1", allocs, len(ins), perInstance)
+	}
+}
+
+// A key deeper than a slab gets one of its own size, so a deep element
+// after many shallow ones cannot make a small document allocate slabs of
+// depth × slab-size keys.
+func TestXMLDeepKeyAllocation(t *testing.T) {
+	doc := "<R>" + strings.Repeat(`<Setting Key="k" Value="v"/>`, 4096) +
+		strings.Repeat("<a>", 1000) + `<b x="1"/>` + strings.Repeat("</a>", 1000) + "</R>"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := (xmlDriver{}).Parse([]byte(doc), "deep.xml"); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 16<<20 {
+		t.Errorf("parsing a %d-byte document allocated %d bytes", len(doc), n)
 	}
 }
 

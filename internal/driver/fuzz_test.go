@@ -125,8 +125,29 @@ func FuzzXML(f *testing.F) {
 	f.Add([]byte(`<a><b></a></b>`)) // mismatched tags
 	f.Add([]byte(`<a attr="unterminated`))
 	f.Add([]byte(`<?xml version="1.0"?><a/>`))
+	// Differential seeds: every check the scanner shares with the
+	// encoding/xml oracle (xml_oracle_test.go).
+	f.Add([]byte(`<A><Setting Key="k" Value="a&amp;b&#x41;&#66;&lt;&gt;&apos;&quot;"/></A>`))
+	f.Add([]byte(`<A><Setting Key="k" Value="&foo;"/></A>`))
+	f.Add([]byte(`<A><Setting Key="k" Value="a & b"/></A>`))
+	f.Add([]byte(`<A><Setting Key="k" Value="&#xD800;&#0;"/></A>`))
+	f.Add([]byte("<A><Setting Key=\"k\" Value=\"line1\r\nline2\rline3\"/>\r\n</A>"))
+	f.Add([]byte(`<A N="1"><![CDATA[a > b <c> ]]]]><Setting Key="k" Value="v"/></A>`))
+	f.Add([]byte(`<!-- lead --><?pi data?><!DOCTYPE A [<!ENTITY e "x>y"> <!-- c> -->]><A n="1"/>`))
+	f.Add([]byte(`<?xml version="1.1"?><A n="1"/>`))
+	f.Add([]byte(`<?xml version="1.0" encoding="ISO-8859-1"?><A n="1"/>`))
+	f.Add([]byte(`<p:A xmlns:p="urn:x" p:Name="i" q:Mode="m"><p:Setting p:Key="k" Value="v"/></p:A>`))
+	f.Add([]byte(`<a:b:c/>`))
+	f.Add([]byte(`<A n="1">x ]]> y</A>`))
+	f.Add([]byte("<A n=\"\uFFFE\"/>"))
+	f.Add([]byte("<A\xff n=\"1\"/>"))
+	f.Add([]byte("<A n=\"\xc3\x28\"/>"))
+	f.Add([]byte(`<A><Setting Key="k" Value="v"><B Name="x" P="1"/></Setting></A>`))
+	f.Add([]byte(`<A n="1"/><B n="2"/><A n="3"/>`))
+	f.Add([]byte(`<Root><A Name="x">`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkParse(t, "xml", xmlDriver{}, data)
+		checkXMLOracle(t, data)
 	})
 }
 
