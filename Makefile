@@ -89,12 +89,16 @@ load-bench:
 servecache-bench:
 	$(GO) run ./cmd/cvbench -run servecache -full
 
-# Short coverage-guided run of each driver fuzzer on top of the checked-in
-# seeds. Mirrors the CI "Fuzz smoke" step; a crasher fails the target.
+# Short coverage-guided run of each fuzzer on top of the checked-in
+# seeds: the six format drivers, the validate endpoint's two wire forms
+# and the wire-report decoder. Mirrors the CI "Fuzz smoke" job; a
+# crasher fails the target.
 fuzz-smoke:
 	for f in FuzzINI FuzzKV FuzzCSV FuzzYAML FuzzJSON FuzzXML; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/driver/ || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzValidateHTTP$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 10s ./internal/report/
 
 # One iteration of every benchmark — compile/panic smoke, no timing
 # claims — plus a quick-scale pass of the load harness (both drivers and

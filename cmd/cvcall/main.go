@@ -30,7 +30,11 @@
 //
 // validate reads each format:path[:scope] argument locally (the same
 // syntax as cvcheck -data) and ships the bytes as request payloads, so
-// the server never needs access to the client's filesystem.
+// the server never needs access to the client's filesystem. A single
+// file is sent as the raw request body (Content-Type
+// application/octet-stream, its name, format and scope in the query),
+// with no JSON envelope to escape and decode; several files go as one
+// JSON request.
 //
 // Exit status mirrors cvcheck:
 //

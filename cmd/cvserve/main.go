@@ -13,7 +13,7 @@
 //	        [-max-tenants N] [-max-specs N] [-max-spec-bytes N]
 //	        [-max-sources N] [-max-payload-bytes N] [-version]
 //
-// Endpoints (all JSON; see internal/serve for the wire types):
+// Endpoints (JSON responses; see internal/serve for the wire types):
 //
 //	GET    /healthz                                         liveness + version
 //	GET    /readyz                                          readiness (503 until
@@ -23,7 +23,11 @@
 //	PUT    /v1/tenants/{tenant}/specs/{spec}                register CPL (body = source)
 //	GET    /v1/tenants/{tenant}/specs                       list specs
 //	DELETE /v1/tenants/{tenant}/specs/{spec}                delete spec
-//	POST   /v1/tenants/{tenant}/specs/{spec}/validate       run a validation
+//	POST   /v1/tenants/{tenant}/specs/{spec}/validate       run a validation (JSON
+//	                                                        request, or one payload as
+//	                                                        the raw body: Content-Type
+//	                                                        application/octet-stream,
+//	                                                        ?name=&format=&scope=)
 //	GET    /v1/tenants/{tenant}/specs/{spec}/report         last report
 //
 // Each tenant gets its own runner — session, store lineage, loader and

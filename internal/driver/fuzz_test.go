@@ -13,6 +13,7 @@ import (
 	"unicode/utf8"
 
 	"confvalley/internal/config"
+	"confvalley/internal/driver/drivertest"
 )
 
 // checkParse runs one driver over one input, failing the fuzz run on a
@@ -43,13 +44,9 @@ func checkParse(t *testing.T, name string, d interface {
 }
 
 func commonSeeds(f *testing.F) {
-	f.Add([]byte(""))
-	f.Add([]byte("\x00\x01\x02"))
-	f.Add([]byte("\xff\xfe invalid utf8 \xc3\x28"))
-	f.Add([]byte(strings.Repeat("a", 1<<12)))
-	f.Add([]byte("\n\n\n"))
-	f.Add([]byte("="))
-	f.Add([]byte(" = "))
+	for _, seed := range drivertest.CommonSeeds {
+		f.Add(seed)
+	}
 }
 
 func FuzzINI(f *testing.F) {
@@ -121,30 +118,9 @@ func FuzzJSON(f *testing.F) {
 
 func FuzzXML(f *testing.F) {
 	commonSeeds(f)
-	f.Add([]byte(`<configuration><add key="a" value="1"/></configuration>`))
-	f.Add([]byte(`<a><b></a></b>`)) // mismatched tags
-	f.Add([]byte(`<a attr="unterminated`))
-	f.Add([]byte(`<?xml version="1.0"?><a/>`))
-	// Differential seeds: every check the scanner shares with the
-	// encoding/xml oracle (xml_oracle_test.go).
-	f.Add([]byte(`<A><Setting Key="k" Value="a&amp;b&#x41;&#66;&lt;&gt;&apos;&quot;"/></A>`))
-	f.Add([]byte(`<A><Setting Key="k" Value="&foo;"/></A>`))
-	f.Add([]byte(`<A><Setting Key="k" Value="a & b"/></A>`))
-	f.Add([]byte(`<A><Setting Key="k" Value="&#xD800;&#0;"/></A>`))
-	f.Add([]byte("<A><Setting Key=\"k\" Value=\"line1\r\nline2\rline3\"/>\r\n</A>"))
-	f.Add([]byte(`<A N="1"><![CDATA[a > b <c> ]]]]><Setting Key="k" Value="v"/></A>`))
-	f.Add([]byte(`<!-- lead --><?pi data?><!DOCTYPE A [<!ENTITY e "x>y"> <!-- c> -->]><A n="1"/>`))
-	f.Add([]byte(`<?xml version="1.1"?><A n="1"/>`))
-	f.Add([]byte(`<?xml version="1.0" encoding="ISO-8859-1"?><A n="1"/>`))
-	f.Add([]byte(`<p:A xmlns:p="urn:x" p:Name="i" q:Mode="m"><p:Setting p:Key="k" Value="v"/></p:A>`))
-	f.Add([]byte(`<a:b:c/>`))
-	f.Add([]byte(`<A n="1">x ]]> y</A>`))
-	f.Add([]byte("<A n=\"\uFFFE\"/>"))
-	f.Add([]byte("<A\xff n=\"1\"/>"))
-	f.Add([]byte("<A n=\"\xc3\x28\"/>"))
-	f.Add([]byte(`<A><Setting Key="k" Value="v"><B Name="x" P="1"/></Setting></A>`))
-	f.Add([]byte(`<A n="1"/><B n="2"/><A n="3"/>`))
-	f.Add([]byte(`<Root><A Name="x">`))
+	for _, seed := range drivertest.XMLSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkParse(t, "xml", xmlDriver{}, data)
 		checkXMLOracle(t, data)

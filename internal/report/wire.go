@@ -89,15 +89,16 @@ func (r *Report) EncodeWireIndented() ([]byte, error) {
 	return json.MarshalIndent(r.Wire(), "", "  ")
 }
 
-// DecodeWire parses a wire-encoded report, rejecting schema versions
-// newer than this build understands.
+// DecodeWire parses a wire-encoded report, rejecting a missing or
+// non-positive schema version and versions newer than this build
+// understands.
 func DecodeWire(b []byte) (*Wire, error) {
 	var w Wire
 	if err := json.Unmarshal(b, &w); err != nil {
 		return nil, fmt.Errorf("report: decoding wire report: %w", err)
 	}
-	if w.SchemaVersion == 0 {
-		return nil, fmt.Errorf("report: wire report missing schema_version")
+	if w.SchemaVersion < 1 {
+		return nil, fmt.Errorf("report: wire report has no valid schema_version (got %d)", w.SchemaVersion)
 	}
 	if w.SchemaVersion > SchemaVersion {
 		return nil, fmt.Errorf("report: wire report schema_version %d is newer than this build's %d", w.SchemaVersion, SchemaVersion)

@@ -115,6 +115,9 @@ func TestDecodeWireRejectsUnknownVersions(t *testing.T) {
 	if _, err := DecodeWire([]byte(`{"specs_run": 1}`)); err == nil {
 		t.Error("missing schema_version accepted")
 	}
+	if _, err := DecodeWire([]byte(`{"schema_version": -1}`)); err == nil {
+		t.Error("negative schema_version accepted")
+	}
 	if _, err := DecodeWire([]byte(`{"schema_version": 999}`)); err == nil {
 		t.Error("future schema_version accepted")
 	}

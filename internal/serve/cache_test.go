@@ -109,6 +109,68 @@ func TestResultCacheRepeatByteIdentity(t *testing.T) {
 	}
 }
 
+// The JSON form keeps its raw-body alias: a byte-identical repeat of a
+// JSON body (through ValidateBody) or of a two-payload request (which
+// Client.Validate sends as JSON) is served from the alias, before any
+// decode, and matches the cold run.
+func TestJSONFormRepeatHitsRawBodyAlias(t *testing.T) {
+	const data = "app.timeout = 400\napp.retries = 2\ndb.host = db1\n"
+	ctx := context.Background()
+	two := ValidateRequest{Payloads: []PayloadRef{
+		{Name: "app.kv", Format: "kv", Data: data},
+		{Name: "db.kv", Format: "kv", Data: "db.host = db2\n"},
+	}}
+	_, cold := testClient(t, coldConfig())
+	if _, err := cold.Register(ctx, "checks", cacheSpec); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		send func(srv *Server, c *Client) (*ValidateResponse, error)
+		req  ValidateRequest
+	}{
+		{"ValidateBody", func(srv *Server, c *Client) (*ValidateResponse, error) {
+			body, err := json.Marshal(kvRequest(data))
+			if err != nil {
+				return nil, err
+			}
+			return srv.ValidateBody(ctx, "acme", "checks", body)
+		}, kvRequest(data)},
+		{"two payloads", func(srv *Server, c *Client) (*ValidateResponse, error) {
+			return c.Validate(ctx, "checks", two)
+		}, two},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coldResp, err := cold.Validate(ctx, "checks", tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := wireModuloCaching(t, coldResp.Report)
+			srv, c := testClient(t, Config{})
+			if _, err := c.Register(ctx, "checks", cacheSpec); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				resp, err := tc.send(srv, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := wireModuloCaching(t, resp.Report); !bytes.Equal(got, want) {
+					t.Errorf("request %d diverged from cold run:\n got: %s\nwant: %s", i, got, want)
+				}
+			}
+			st := srv.Stats()
+			if st.Validations != 1 || st.ResultCacheHits != 1 {
+				t.Errorf("stats = %d validations / %d hits, want 1 / 1", st.Validations, st.ResultCacheHits)
+			}
+			if tn, _ := srv.tenantFor("acme", false); len(tn.results.rawItems) != 1 {
+				t.Errorf("raw-body aliases = %d, want 1", len(tn.results.rawItems))
+			}
+		})
+	}
+}
+
 // A low-churn request stream — each payload differs from the previous
 // in one key — takes the incremental path (snapshot diff, spec-level
 // reuse) yet stays byte-identical to running every request cold.

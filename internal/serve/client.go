@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -27,8 +27,9 @@ var (
 )
 
 // Client is the thin Go client cvcall wraps: one method per endpoint,
-// JSON in and out, typed errors reconstructed from the server's status
-// mapping so callers can errors.Is them exactly like local serve calls.
+// JSON responses (a single validate payload goes out as the raw body),
+// typed errors reconstructed from the server's status mapping so
+// callers can errors.Is them exactly like local serve calls.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:7777".
 	Base string
@@ -112,9 +113,11 @@ func retryAfter(resp *http.Response) (time.Duration, bool) {
 // do issues one request — retrying transient failures per the client's
 // retry policy — and decodes the JSON response into out (when
 // non-nil), converting error statuses back into the serve package's
-// typed errors. body is a byte slice, not a reader, so each retry
-// replays it from the start.
-func (c *Client) do(ctx context.Context, method, url string, body []byte, out any) error {
+// typed errors. Each attempt sends body (none when empty) through a
+// fresh strings.Reader: net/http gives it a Content-Length, and a retry
+// never shares a reader with an earlier attempt's write, which the
+// transport may still be finishing.
+func (c *Client) do(ctx context.Context, method, url, contentType, body string, out any) error {
 	attempts := c.Retries + 1
 	if attempts < 1 {
 		attempts = 1
@@ -125,13 +128,12 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte, out an
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, url, rd)
+		req, err := http.NewRequestWithContext(ctx, method, url, strings.NewReader(body))
 		if err != nil {
 			return err
+		}
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
 		}
 		resp, err := c.http().Do(req)
 		if err != nil {
@@ -216,30 +218,54 @@ func (c *Client) RegisterWith(ctx context.Context, spec, src string, opts Regist
 		url += "?strict=1"
 	}
 	var info SpecInfo
-	err := c.do(ctx, http.MethodPut, url, []byte(src), &info)
+	err := c.do(ctx, http.MethodPut, url, "", src, &info)
 	return info, err
 }
 
 // ListSpecs returns the tenant's registered specs.
 func (c *Client) ListSpecs(ctx context.Context) ([]SpecInfo, error) {
 	var infos []SpecInfo
-	err := c.do(ctx, http.MethodGet, c.url("v1", "tenants", c.Tenant, "specs"), nil, &infos)
+	err := c.do(ctx, http.MethodGet, c.url("v1", "tenants", c.Tenant, "specs"), "", "", &infos)
 	return infos, err
 }
 
 // Delete removes one registered spec.
 func (c *Client) Delete(ctx context.Context, spec string) error {
-	return c.do(ctx, http.MethodDelete, c.url("v1", "tenants", c.Tenant, "specs", spec), nil, nil)
+	return c.do(ctx, http.MethodDelete, c.url("v1", "tenants", c.Tenant, "specs", spec), "", "", nil)
 }
 
-// Validate submits payloads/sources against a registered spec.
+// Validate submits payloads/sources against a registered spec. A
+// request of exactly one payload and no sources goes in the raw form:
+// the payload's bytes are the body and its metadata rides in the
+// query, so neither side builds or escapes a JSON envelope. Any other
+// request is sent as JSON.
 func (c *Client) Validate(ctx context.Context, spec string, req ValidateRequest) (*ValidateResponse, error) {
-	b, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
+	u := c.url("v1", "tenants", c.Tenant, "specs", spec, "validate")
+	var contentType, body string
+	if len(req.Payloads) == 1 && len(req.Sources) == 0 {
+		p := req.Payloads[0]
+		q := url.Values{"name": {p.Name}}
+		if p.Format != "" {
+			q.Set("format", p.Format)
+		}
+		if p.Scope != "" {
+			q.Set("scope", p.Scope)
+		}
+		u += "?" + q.Encode()
+		contentType, body = rawContentType, p.Data
+	} else {
+		// Payloads are configuration text: escaping its <, > and & for
+		// HTML embedding only inflates the body.
+		var sb strings.Builder
+		enc := json.NewEncoder(&sb)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(req); err != nil {
+			return nil, err
+		}
+		contentType, body = "application/json", sb.String()
 	}
 	var resp ValidateResponse
-	if err := c.do(ctx, http.MethodPost, c.url("v1", "tenants", c.Tenant, "specs", spec, "validate"), b, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, u, contentType, body, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -248,7 +274,7 @@ func (c *Client) Validate(ctx context.Context, spec string, req ValidateRequest)
 // LastReport fetches the most recent validate response for a spec.
 func (c *Client) LastReport(ctx context.Context, spec string) (*ValidateResponse, error) {
 	var resp ValidateResponse
-	if err := c.do(ctx, http.MethodGet, c.url("v1", "tenants", c.Tenant, "specs", spec, "report"), nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, c.url("v1", "tenants", c.Tenant, "specs", spec, "report"), "", "", &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -282,13 +308,13 @@ func (c *Client) Ready(ctx context.Context) (ReadyInfo, error) {
 // Health fetches the health endpoint.
 func (c *Client) Health(ctx context.Context) (HealthInfo, error) {
 	var h HealthInfo
-	err := c.do(ctx, http.MethodGet, c.url("healthz"), nil, &h)
+	err := c.do(ctx, http.MethodGet, c.url("healthz"), "", "", &h)
 	return h, err
 }
 
 // Stats fetches the stats endpoint.
 func (c *Client) Stats(ctx context.Context) (StatsInfo, error) {
 	var s StatsInfo
-	err := c.do(ctx, http.MethodGet, c.url("statsz"), nil, &s)
+	err := c.do(ctx, http.MethodGet, c.url("statsz"), "", "", &s)
 	return s, err
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"strconv"
 
@@ -22,7 +23,11 @@ import (
 //	                                                    refuses error-severity lint findings)
 //	GET    /v1/tenants/{tenant}/specs                   list registered specs
 //	DELETE /v1/tenants/{tenant}/specs/{spec}            delete one spec
-//	POST   /v1/tenants/{tenant}/specs/{spec}/validate   validate payloads/sources
+//	POST   /v1/tenants/{tenant}/specs/{spec}/validate   validate payloads/sources (JSON
+//	                                                    ValidateRequest body), or one payload
+//	                                                    as the raw body with Content-Type
+//	                                                    application/octet-stream and
+//	                                                    ?name=&format=&scope= metadata
 //	GET    /v1/tenants/{tenant}/specs/{spec}/report     last validate response
 //
 // Errors are JSON objects {"error": "..."} with the mapped status:
@@ -51,9 +56,9 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
 	mux.HandleFunc("PUT /v1/tenants/{tenant}/specs/{spec}", func(w http.ResponseWriter, r *http.Request) {
-		src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.Quotas.MaxSpecBytes+1))
+		src, err := readBody(w, r, s.cfg.Quotas.MaxSpecBytes+1)
 		if err != nil {
-			writeError(w, bodyReadError(err))
+			writeError(w, err)
 			return
 		}
 		// ?strict=1 refuses specs with error-severity lint findings.
@@ -81,16 +86,32 @@ func (s *Server) Handler() http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("POST /v1/tenants/{tenant}/specs/{spec}/validate", func(w http.ResponseWriter, r *http.Request) {
-		// The read bound leaves headroom over the payload quota for JSON
-		// framing; the precise byte quota is enforced in Validate. The
-		// whole body is read up front so ValidateBody can content-address
-		// the raw bytes before paying for a JSON decode.
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 2*s.cfg.Quotas.MaxPayloadBytes+(1<<20)))
+		// The raw form's body is the payload: reading one byte past the
+		// quota lets the quota check name an oversized body's size. The
+		// JSON form's bound leaves headroom for framing and escapes; its
+		// byte quota is enforced after decoding.
+		mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
+		raw := mt == rawContentType
+		read, limit := readBody, 2*s.cfg.Quotas.MaxPayloadBytes+(1<<20)
+		if raw {
+			read, limit = readRawBody, s.cfg.Quotas.MaxPayloadBytes+1
+		}
+		body, err := read(w, r, limit)
 		if err != nil {
-			writeError(w, bodyReadError(err))
+			writeError(w, err)
 			return
 		}
-		resp, err := s.ValidateBody(r.Context(), r.PathValue("tenant"), r.PathValue("spec"), body)
+		tenant, spec := r.PathValue("tenant"), r.PathValue("spec")
+		var resp *ValidateResponse
+		if raw {
+			q := r.URL.Query()
+			meta := PayloadRef{Name: q.Get("name"), Format: q.Get("format"), Scope: q.Get("scope")}
+			resp, err = s.ValidateRaw(r.Context(), tenant, spec, meta, body)
+		} else {
+			// ValidateBody content-addresses the whole body before
+			// paying for a decode.
+			resp, err = s.ValidateBody(r.Context(), tenant, spec, body)
+		}
 		if err != nil {
 			writeError(w, err)
 			return
@@ -106,6 +127,56 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, resp)
 	})
 	return mux
+}
+
+// rawContentType selects the raw validate form: the body is one
+// configuration payload, not a JSON ValidateRequest.
+const rawContentType = "application/octet-stream"
+
+// readBody reads a request body of at most limit bytes, classifying a
+// failure with bodyReadError. A declared Content-Length over the limit
+// is refused before anything is read.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	if r.ContentLength > limit {
+		return nil, bodyReadError(&http.MaxBytesError{Limit: limit})
+	}
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		return nil, bodyReadError(err)
+	}
+	return b, nil
+}
+
+// sizedReadChunk is the first buffer readRawBody allocates for a body
+// of known length, and so the most heap a client holds by declaring a
+// large body and then sending nothing.
+const sizedReadChunk = 64 << 10
+
+// readRawBody is readBody for a raw validate payload. A body whose
+// Content-Length is known ends in a buffer of exactly that size, not
+// io.ReadAll's over-grown one. The buffer starts at sizedReadChunk and
+// doubles only once full, so it is never larger than that chunk or
+// twice the bytes received, whatever length the client declared.
+func readRawBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	n := r.ContentLength
+	if n < 0 {
+		return readBody(w, r, limit)
+	}
+	if n > limit {
+		return nil, bodyReadError(&http.MaxBytesError{Limit: limit})
+	}
+	b := make([]byte, 0, min(n, sizedReadChunk))
+	for {
+		m, err := io.ReadFull(r.Body, b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err != nil {
+			return nil, bodyReadError(err)
+		}
+		if int64(len(b)) == n {
+			return b, nil
+		}
+		b = append(make([]byte, 0, min(n, 2*int64(cap(b)))), b...)
+	}
 }
 
 type errorBody struct {

@@ -16,6 +16,10 @@ import (
 	"sync"
 	"testing"
 
+	"confvalley/internal/azuregen"
+	"confvalley/internal/config"
+	"confvalley/internal/driver"
+	"confvalley/internal/infer"
 	"confvalley/internal/report"
 	"confvalley/internal/runner"
 )
@@ -147,5 +151,104 @@ func TestConcurrentTenantsPinIndependentSnapshots(t *testing.T) {
 	}
 	if got := srv.Stats().Validations; got != tenants*rounds {
 		t.Errorf("validations counted = %d, want %d", got, tenants*rounds)
+	}
+}
+
+// listingOneXML is Listing 1 of the paper: scope elements named by
+// their Name/Type attributes, Setting leaves, parameters overridden at
+// deeper scopes.
+const listingOneXML = `<Root>
+<CloudGroup Name="East1 Production">
+  <Setting Key="MonitorNodeHealth" Value="True"/>
+  <Setting Key="ControllerReplicas" Value="5"/>
+  <Cloud Name="East1Storage1">
+    <Tenant Type="A">
+      <Setting Key="MonitorNodeHealth" Value="False"/>
+    </Tenant>
+    <Tenant Type="B" />
+  </Cloud>
+  <Cloud Name="East1Storage2">
+    <Tenant Type="A" />
+  </Cloud>
+</CloudGroup>
+<CloudGroup Name="SSD Cluster">
+  <Setting Key="MonitorNodeHealth" Value="True"/>
+  <Setting Key="ControllerReplicas" Value="3"/>
+  <Cloud Name="East1Compute1">
+    <Tenant Type="A">
+      <Setting Key="ControllerReplicas" Value="5"/>
+    </Tenant>
+  </Cloud>
+</CloudGroup>
+</Root>`
+
+const listingOneSpec = `$ControllerReplicas -> int & [1, 4]
+$MonitorNodeHealth -> bool
+$CloudGroup.Cloud.Tenant.MonitorNodeHealth == 'True'
+`
+
+// TestRawAndJSONFormsMatchCLIPath holds the two validate wire forms to
+// the CLI path: one payload sent as the raw body and the same payload
+// inside a JSON request give byte-identical wire reports (modulo
+// timing) to a cold runner run, on a Type A corpus with inferred specs
+// and on Listing 1.
+func TestRawAndJSONFormsMatchCLIPath(t *testing.T) {
+	a := azuregen.GenerateA(0.05, 2015)
+	train := azuregen.RenderXML(a.Store)
+	azuregen.InjectInferredErrors(a, 6, 2, 7)
+	st := config.NewStore()
+	if _, err := driver.LoadInto(st, "xml", train, "train.xml", ""); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, spec string
+		p          PayloadRef
+	}{
+		{"typeA", infer.Infer(st, infer.Defaults()).GenerateCPL(),
+			PayloadRef{Name: "corpus.xml", Format: "xml", Data: string(azuregen.RenderXML(a.Store))}},
+		{"listing1", listingOneSpec, PayloadRef{Name: "setting.xml", Data: listingOneXML}},
+	}
+
+	// Caches off: each form must run, not be served the other's answer.
+	srv := New(coldConfig())
+	h := srv.Handler()
+	ctx := context.Background()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := srv.RegisterSpec("acme", tc.name, tc.spec); err != nil {
+				t.Fatal(err)
+			}
+			res, err := runner.New(runner.Options{}).Run(ctx, runner.Job{
+				SpecSrc:  tc.spec,
+				Payloads: []runner.Payload{{Name: tc.p.Name, Format: tc.p.Format, Data: []byte(tc.p.Data)}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := wireModuloTiming(t, res.Report.Wire())
+			if len(res.Report.Violations) == 0 {
+				t.Fatal("the cold run found no violations; the comparison would be vacuous")
+			}
+
+			body, err := json.Marshal(ValidateRequest{Payloads: []PayloadRef{tc.p}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for form, rec := range map[string]*httptest.ResponseRecorder{
+				"raw":  serveRaw(h, "acme", tc.name, tc.p),
+				"json": serveJSON(h, "acme", tc.name, body),
+			} {
+				resp := decodeOK(t, rec)
+				if got := wireModuloTiming(t, resp.Report); !bytes.Equal(got, want) {
+					t.Errorf("%s form diverged from the CLI path:\n got: %.400s\nwant: %.400s", form, got, want)
+				}
+				if resp.Code != res.Code() {
+					t.Errorf("%s form code = %d, cli %d", form, resp.Code, res.Code())
+				}
+			}
+		})
+	}
+	if got := srv.Stats().Validations; got != 2*int64(len(cases)) {
+		t.Errorf("validations = %d, want %d (every form must run)", got, 2*len(cases))
 	}
 }

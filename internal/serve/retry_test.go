@@ -207,31 +207,40 @@ func TestOversizedSpecBodyIs413(t *testing.T) {
 
 // TestTruncatedUploadIs400 kills the upload mid-body (Content-Length
 // promises more bytes than arrive) and checks the server reports a 400
-// transport problem — not the 413 every body-read error used to get.
+// transport problem — not the 413 every body-read error used to get —
+// on both body readers: the spec PUT and the raw validate form.
 func TestTruncatedUploadIs400(t *testing.T) {
 	srv := New(Config{})
+	if _, err := srv.RegisterSpec("acme", "checks", timeoutSpec); err != nil {
+		t.Fatal(err)
+	}
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
-	conn, err := net.Dial("tcp", strings.TrimPrefix(hs.URL, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Promise 500 bytes, deliver 10, half-close the write side: the
-	// handler's io.ReadAll fails with an unexpected EOF, not a
-	// MaxBytesError.
-	fmt.Fprintf(conn, "PUT /v1/tenants/acme/specs/cut HTTP/1.1\r\nHost: x\r\nContent-Length: 500\r\n\r\n")
-	conn.Write([]byte("$app.timeo"))
-	conn.(*net.TCPConn).CloseWrite()
+	for _, tc := range []struct{ head, part string }{
+		{"PUT /v1/tenants/acme/specs/cut HTTP/1.1\r\n", "$app.timeo"},
+		{"POST /v1/tenants/acme/specs/checks/validate?name=app.kv HTTP/1.1\r\n" +
+			"Content-Type: application/octet-stream\r\n", "app.timeo"},
+	} {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(hs.URL, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Promise 500 bytes, deliver a few, half-close the write side:
+		// the body read fails with an unexpected EOF, not a
+		// MaxBytesError.
+		fmt.Fprintf(conn, "%sHost: x\r\nContent-Length: 500\r\n\r\n%s", tc.head, tc.part)
+		conn.(*net.TCPConn).CloseWrite()
 
-	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatalf("reading response from truncated upload: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("truncated upload status = %d, want 400", resp.StatusCode)
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("%q: reading response from truncated upload: %v", tc.head, err)
+		}
+		resp.Body.Close()
+		conn.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%q: truncated upload status = %d, want 400", tc.head, resp.StatusCode)
+		}
 	}
 }
 

@@ -661,38 +661,24 @@ func (s *Server) DeleteSpec(tenantName, specName string) error {
 // interrupted runs — skip layers 1 and 2 entirely and are never
 // cached.
 func (s *Server) Validate(ctx context.Context, tenantName, specName string, req ValidateRequest) (*ValidateResponse, error) {
-	if err := s.checkReady(); err != nil {
-		return nil, err
-	}
-	t, err := s.tenantFor(tenantName, false)
-	if err != nil {
-		return nil, err
-	}
-	entry, err := t.spec(specName)
+	t, entry, err := s.specFor(tenantName, specName)
 	if err != nil {
 		return nil, err
 	}
 	return s.validateReq(ctx, t, entry, req, "")
 }
 
-// ValidateBody is the transport's entry point: it content-addresses the
-// raw request body *before* JSON decoding, so a byte-identical repeat
-// of a cached request skips decode, payload hashing, and the run
-// entirely — the cheapest hit the service can serve. The raw-body key
-// is an alias stored next to the canonical payload-hash entry (only
-// for responses that entry admits), and it embeds the registration
-// nonce, so re-registration invalidates both together. A raw hit skips
-// the per-request quota checks; the identical bytes already passed them
+// ValidateBody is the transport's entry point for the JSON form: it
+// content-addresses the request body *before* JSON decoding, so a
+// byte-identical repeat of a cached request skips decode, payload
+// hashing, and the run entirely. The raw-body key is an alias stored
+// next to the canonical payload-hash entry (only for responses that
+// entry admits), and it embeds the registration nonce, so
+// re-registration invalidates both together. A raw hit skips the
+// per-request quota checks; the identical bytes already passed them
 // when the entry was populated, and quotas are fixed per server.
 func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, body []byte) (*ValidateResponse, error) {
-	if err := s.checkReady(); err != nil {
-		return nil, err
-	}
-	t, err := s.tenantFor(tenantName, false)
-	if err != nil {
-		return nil, err
-	}
-	entry, err := t.spec(specName)
+	t, entry, err := s.specFor(tenantName, specName)
 	if err != nil {
 		return nil, err
 	}
@@ -712,11 +698,52 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 	return s.validateReq(ctx, t, entry, req, rawKey)
 }
 
-// validateReq runs one parsed request through the cache stack. rawKey,
-// when non-empty, is the transport's raw-body alias to populate
-// whenever a cacheable response is produced or found.
+// ValidateRaw is the transport's entry point for the raw form: one
+// payload whose bytes are the request body itself, described by meta
+// (meta.Data is ignored). data reaches the driver as is — no decode,
+// no string round trip, no copy — so the caller must not modify it
+// afterwards. The result-cache key is the canonical payload digest,
+// which the JSON form of the same payload computes too: the two forms
+// share cache entries, and no raw-body alias is kept.
+func (s *Server) ValidateRaw(ctx context.Context, tenantName, specName string, meta PayloadRef, data []byte) (*ValidateResponse, error) {
+	t, entry, err := s.specFor(tenantName, specName)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.checkRequestQuotas(1, int64(len(data))); err != nil {
+		return nil, err
+	}
+	job := runner.Job{Prog: entry.prog, Payloads: []runner.Payload{{
+		Name: meta.Name, Format: meta.Format, Scope: meta.Scope, Data: data,
+	}}}
+	return s.validateJob(ctx, t, entry, job, "")
+}
+
+// specFor resolves the registered spec a validate request names, once
+// the server is ready.
+func (s *Server) specFor(tenantName, specName string) (*tenant, *specEntry, error) {
+	if err := s.checkReady(); err != nil {
+		return nil, nil, err
+	}
+	t, err := s.tenantFor(tenantName, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	entry, err := t.spec(specName)
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, entry, nil
+}
+
+// validateReq checks a decoded request against the quotas and runs it
+// as a job through the cache stack.
 func (s *Server) validateReq(ctx context.Context, t *tenant, entry *specEntry, req ValidateRequest, rawKey string) (*ValidateResponse, error) {
-	if err := s.checkRequestQuotas(req); err != nil {
+	var bytes int64
+	for _, p := range req.Payloads {
+		bytes += int64(len(p.Data))
+	}
+	if err := s.checkRequestQuotas(len(req.Payloads)+len(req.Sources), bytes); err != nil {
 		return nil, err
 	}
 
@@ -731,9 +758,16 @@ func (s *Server) validateReq(ctx context.Context, t *tenant, entry *specEntry, r
 			Name: src.Name, Format: src.Format, Scope: src.Scope,
 		})
 	}
+	return s.validateJob(ctx, t, entry, job, rawKey)
+}
 
+// validateJob runs one job through the cache stack, keyed by the
+// canonical payload digest. rawKey, when non-empty, is the JSON
+// form's raw-body alias to populate whenever a cacheable response is
+// produced or found.
+func (s *Server) validateJob(ctx context.Context, t *tenant, entry *specEntry, job runner.Job, rawKey string) (*ValidateResponse, error) {
 	var key string
-	if t.results != nil && len(req.Sources) == 0 && len(req.Payloads) > 0 && len(entry.prog.Loads) == 0 {
+	if t.results != nil && len(job.Sources) == 0 && len(job.Payloads) > 0 && len(entry.prog.Loads) == 0 {
 		job.PayloadHash = runner.HashPayloads(job.Payloads)
 		key = entry.cacheKey(job.PayloadHash)
 	}
@@ -830,16 +864,13 @@ func cacheableResponse(resp *ValidateResponse, err error) bool {
 }
 
 // checkRequestQuotas enforces the per-request source-count and
-// payload-byte bounds.
-func (s *Server) checkRequestQuotas(req ValidateRequest) error {
+// payload-byte bounds on a request of n sources carrying bytes payload
+// bytes.
+func (s *Server) checkRequestQuotas(n int, bytes int64) error {
 	q := s.cfg.Quotas
-	if n := len(req.Payloads) + len(req.Sources); n > q.MaxSources {
+	if n > q.MaxSources {
 		s.denied.Add(1)
 		return fmt.Errorf("%w: %d sources > limit %d", ErrQuota, n, q.MaxSources)
-	}
-	var bytes int64
-	for _, p := range req.Payloads {
-		bytes += int64(len(p.Data))
 	}
 	if bytes > q.MaxPayloadBytes {
 		s.denied.Add(1)
